@@ -73,9 +73,13 @@ class ExplainResultCache {
   void Clear();
 
   struct Stats {
-    uint64_t hits = 0;                ///< served from a completed entry
+    /// Served from a completed entry. A caller that arrives after the
+    /// computation finished counts here, even if it was started alongside
+    /// the owner.
+    uint64_t hits = 0;
     uint64_t misses = 0;              ///< triggered a computation
-    uint64_t single_flight_waits = 0; ///< joined an in-flight computation
+    /// Joined a computation while it was still in flight (blocked on it).
+    uint64_t single_flight_waits = 0;
     uint64_t computations = 0;        ///< compute() invocations
     uint64_t evictions = 0;           ///< completed entries dropped by LRU
     size_t entries = 0;               ///< completed entries resident

@@ -82,7 +82,18 @@ TEST(ExplainCacheTest, SingleFlightDedupesConcurrentCallers) {
   for (size_t t = 0; t < results.size(); ++t) {
     threads.emplace_back([&, t] { results[t] = cache.GetOrCompute("k", slow); });
   }
-  while (computed.load() == 0) std::this_thread::yield();
+  // Release the computation only once every caller has registered with the
+  // cache (GetOrCompute counts a caller under the cache lock before it blocks
+  // on the in-flight future). Releasing as soon as the owner starts would let
+  // a late thread find the finished entry and count as a hit, not a wait.
+  // A cache that computed once per caller still reaches the count (as 4
+  // misses), so a broken single-flight fails the assertions below instead of
+  // hanging here.
+  auto registered = [&] {
+    const auto s = cache.stats();
+    return s.hits + s.misses + s.single_flight_waits;
+  };
+  while (registered() < results.size()) std::this_thread::yield();
   release.store(true);
   for (auto& t : threads) t.join();
   EXPECT_EQ(computed.load(), 1);
